@@ -1,7 +1,7 @@
 // Quantized-conductance head-to-head: the two payoffs of narrow cell
 // storage, measured against their fp32 baselines.
 //
-//   gemm      fp32 GemmAPack vs Int8APack on a 256^3 GEMM at 1 and 4
+//   gemm      fp32 gemm() vs Int8APack on a 256^3 GEMM at 1 and 4
 //             threads (median of 3). The int8 path accumulates in exact
 //             int32, so its 1-vs-4-thread outputs must be byte-identical —
 //             that verdict, and the >= 2x single-thread speedup ordering,
@@ -27,8 +27,8 @@
 #include <vector>
 
 #include "quant/quant.hpp"
+#include "tensor/gemm.hpp"
 #include "tensor/gemm_int8.hpp"
-#include "tensor/gemm_kernel.hpp"
 #include "trainer/fault_aware_trainer.hpp"
 #include "trainer/scenarios.hpp"
 #include "util/parallel.hpp"
@@ -65,11 +65,10 @@ double median_ms_of_3(Fn&& fn) {
 GemmPoint bench_fp32(const std::vector<float>& a, const std::vector<float>& b,
                      std::vector<float>& c, int threads) {
   set_parallel_threads(static_cast<std::size_t>(threads));
-  GemmAPack pack;
   GemmPoint p{"gemm-fp32-256", threads};
   p.median_ms = median_ms_of_3([&] {
-    pack.pack(kN, kN, 1.0f, StridedOperand{a.data(), kN, 1});
-    pack.multiply(kN, b.data(), kN, 0.0f, c.data(), kN);
+    gemm(false, false, kN, kN, kN, 1.0f, a.data(), kN, b.data(), kN, 0.0f,
+         c.data(), kN);
   });
   p.gflops = 2.0 * kN * kN * kN / (p.median_ms * 1e-3) / 1e9;
   return p;

@@ -116,7 +116,8 @@ void CheckpointReader::parse_and_validate() {
   ByteReader table(bytes_.data() + header_fixed,
                    bytes_.size() - header_fixed);
   toc_.clear();
-  toc_.reserve(count);
+  // Smallest entry: an empty name's length, offset, size and crc.
+  toc_.reserve(table.bound(count, 8 + 8 + 8 + 4));
   std::size_t table_bytes = 0;
   for (std::uint32_t i = 0; i < count; ++i) {
     SectionInfo s;
@@ -186,10 +187,10 @@ void save_string_pairs(
 
 std::vector<std::pair<std::string, std::string>> load_string_pairs(
     ByteReader& r) {
-  const std::uint64_t n = r.u64();
+  const std::size_t n = r.count(8 + 8);  // two string lengths at least
   std::vector<std::pair<std::string, std::string>> pairs;
-  pairs.reserve(static_cast<std::size_t>(n));
-  for (std::uint64_t i = 0; i < n; ++i) {
+  pairs.reserve(n);
+  for (std::size_t i = 0; i < n; ++i) {
     std::string k = r.str();
     std::string v = r.str();
     pairs.emplace_back(std::move(k), std::move(v));

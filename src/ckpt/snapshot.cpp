@@ -7,8 +7,6 @@ namespace ckpt {
 
 namespace {
 
-constexpr std::uint64_t kMaxVecLen = 1ULL << 32;  // 4 Gi elements: sanity cap
-
 template <typename T>
 void append_le(std::string& buf, T v) {
   char tmp[sizeof(T)];
@@ -90,44 +88,47 @@ bool ByteReader::boolean() {
   return v != 0;
 }
 
+std::size_t ByteReader::bound(std::uint64_t n,
+                              std::size_t min_elem_bytes) const {
+  // Divide rather than multiply: n * min_elem_bytes may wrap.
+  if (min_elem_bytes > 0 && n > (size_ - pos_) / min_elem_bytes)
+    throw CheckpointError("count of " + std::to_string(n) + " elements of " +
+                          std::to_string(min_elem_bytes) +
+                          "+ bytes overruns section (" +
+                          std::to_string(size_ - pos_) + " bytes left)");
+  return static_cast<std::size_t>(n);
+}
+
+std::size_t ByteReader::count(std::size_t min_elem_bytes) {
+  return bound(u64(), min_elem_bytes);
+}
+
 std::string ByteReader::str() {
-  const std::uint64_t n = u64();
-  if (n > size_ - pos_) throw CheckpointError("string length overruns section");
-  return std::string(take(static_cast<std::size_t>(n)), n);
+  const std::size_t n = count(1);
+  return std::string(take(n), n);
 }
 
 std::vector<std::uint8_t> ByteReader::vec_u8() {
-  const std::uint64_t n = u64();
-  if (n > kMaxVecLen || n > size_ - pos_)
-    throw CheckpointError("byte-vector length overruns section");
-  const char* p = take(static_cast<std::size_t>(n));
+  const std::size_t n = count(1);
+  const char* p = take(n);
   return {reinterpret_cast<const std::uint8_t*>(p),
           reinterpret_cast<const std::uint8_t*>(p) + n};
 }
 
 std::vector<std::uint64_t> ByteReader::vec_u64() {
-  const std::uint64_t n = u64();
-  if (n > kMaxVecLen || n * 8 > size_ - pos_)
-    throw CheckpointError("u64-vector length overruns section");
-  std::vector<std::uint64_t> v(static_cast<std::size_t>(n));
+  std::vector<std::uint64_t> v(count(8));
   for (auto& x : v) x = u64();
   return v;
 }
 
 std::vector<float> ByteReader::vec_f32() {
-  const std::uint64_t n = u64();
-  if (n > kMaxVecLen || n * 4 > size_ - pos_)
-    throw CheckpointError("f32-vector length overruns section");
-  std::vector<float> v(static_cast<std::size_t>(n));
+  std::vector<float> v(count(4));
   f32_array(v.data(), v.size());
   return v;
 }
 
 std::vector<double> ByteReader::vec_f64() {
-  const std::uint64_t n = u64();
-  if (n > kMaxVecLen || n * 8 > size_ - pos_)
-    throw CheckpointError("f64-vector length overruns section");
-  std::vector<double> v(static_cast<std::size_t>(n));
+  std::vector<double> v(count(8));
   for (auto& x : v) x = f64();
   return v;
 }

@@ -80,6 +80,16 @@ class ByteReader {
   bool boolean();
   std::string str();
 
+  /// Read a u64 element count and check that that many elements of at
+  /// least `min_elem_bytes` each fit in the rest of the section, so a
+  /// corrupt length throws CheckpointError before anything is allocated
+  /// for it.
+  std::size_t count(std::size_t min_elem_bytes);
+  /// The same check for a count decoded elsewhere (a header field whose
+  /// elements this reader holds).
+  [[nodiscard]] std::size_t bound(std::uint64_t n,
+                                  std::size_t min_elem_bytes) const;
+
   std::vector<std::uint8_t> vec_u8();
   std::vector<std::uint64_t> vec_u64();
   std::vector<float> vec_f32();

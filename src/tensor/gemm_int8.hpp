@@ -43,11 +43,12 @@ namespace remapd {
 /// AVX2 maddubs path; see header comment). pack() clamps to this.
 inline constexpr int kInt8AMax = 63;
 
-/// Reusable packed quantized-A panels, mirroring GemmAPack: quantize and
-/// pack the (effective-weight) matrix once per layer call, then run many
-/// C_i = dequant(Aq * Bq_i) multiplies. Packed panels are immutable after
-/// pack(), so multiply() is const and safe from the per-sample parallel
-/// loop (B-side scratch is thread-local).
+/// Reusable packed quantized-A panels: quantize and pack the
+/// (effective-weight) matrix once per layer call, then run many
+/// C_i = dequant(Aq * Bq_i) multiplies (one per sample's column slice of a
+/// conv batch panel). Packed panels are immutable after pack(), so
+/// multiply() is const and safe to call concurrently (B-side scratch is
+/// thread-local).
 class Int8APack {
  public:
   /// Quantize and pack op(A) (m x k): qa = round(a / a_scale) clamped to

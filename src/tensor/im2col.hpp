@@ -27,11 +27,15 @@ struct ConvGeom {
   [[nodiscard]] std::size_t col_cols() const { return out_h() * out_w(); }
 };
 
-/// Expand one image (C,H,W row-major) into `col` of size col_rows x col_cols.
-void im2col(const float* img, const ConvGeom& g, float* col);
+/// Expand one image (C,H,W row-major) into the col_rows x col_cols matrix at
+/// `col`, whose rows are `ld` floats apart (ld >= col_cols). ld == col_cols
+/// is a standalone matrix; a larger ld writes one sample's column slice of a
+/// batch-wide col_rows x (N*col_cols) panel.
+void im2col(const float* img, const ConvGeom& g, float* col, std::size_t ld);
 
-/// Inverse scatter-add: accumulate `col` back into `img` (must be zeroed by
-/// the caller when a fresh gradient is wanted).
-void col2im(const float* col, const ConvGeom& g, float* img);
+/// Inverse scatter-add: accumulate the col_rows x col_cols matrix at `col`
+/// (rows `ld` floats apart) back into `img`, which must be zeroed by the
+/// caller when a fresh gradient is wanted.
+void col2im(const float* col, const ConvGeom& g, float* img, std::size_t ld);
 
 }  // namespace remapd

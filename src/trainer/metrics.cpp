@@ -33,10 +33,10 @@ double evaluate_accuracy(Model& model, const Dataset& data,
   // train=true; see Conv2d/Linear local effective-weight buffers), so test
   // batches can run concurrently. Forward has no cross-sample reductions,
   // so per-sample results — and the integer `correct` sum — are identical
-  // whether batches run in parallel here or serially with the layer-level
-  // sample parallelism inside forward. Prefer batch-level parallelism only
-  // when it can occupy every worker; otherwise run batches serially and
-  // let the per-sample loops inside the layers use the pool.
+  // whether batches run in parallel here or serially with the GEMMs inside
+  // forward using the pool. Prefer batch-level parallelism only when it
+  // can occupy every worker; otherwise run batches serially and let the
+  // layers' GEMMs use the pool.
   //
   // Memory: each concurrent forward allocates its own intermediate
   // activations (im2col cols buffers, per-layer outputs, and effective-

@@ -69,6 +69,9 @@ void save_epoch_record(ckpt::ByteWriter& w, const EpochRecord& rec) {
   w.u64(rec.refresh_cycles);
 }
 
+/// Serialized size of one EpochRecord: thirteen 8-byte fields and one f32.
+constexpr std::size_t kEpochRecordBytes = 13 * 8 + 4;
+
 EpochRecord load_epoch_record(ckpt::ByteReader& r) {
   EpochRecord rec;
   rec.epoch = static_cast<std::size_t>(r.u64());
@@ -370,10 +373,10 @@ void FaultAwareTrainer::read_sections(const ckpt::CheckpointReader& reader) {
   load("density", [&](ckpt::ByteReader& r) { density_.load_state(r); });
   load("history", [&](ckpt::ByteReader& r) {
     result_.total_remaps = static_cast<std::size_t>(r.u64());
-    const std::uint64_t count = r.u64();
+    const std::size_t count = r.count(kEpochRecordBytes);
     result_.history.clear();
-    result_.history.reserve(static_cast<std::size_t>(count));
-    for (std::uint64_t i = 0; i < count; ++i)
+    result_.history.reserve(count);
+    for (std::size_t i = 0; i < count; ++i)
       result_.history.push_back(load_epoch_record(r));
   });
 

@@ -275,10 +275,11 @@ void WeightMapper::load_state(ckpt::ByteReader& r) {
 
 std::vector<WeightMapper::TaskMapEntry> WeightMapper::read_task_map(
     ckpt::ByteReader& r, LineScheme* scheme) {
-  const std::uint64_t count = r.u64();
+  // Per entry: layer, phase byte, row0, col0, rows, cols, xbar.
+  const std::size_t count = r.count(6 * 8 + 1);
   std::vector<TaskMapEntry> out;
-  out.reserve(static_cast<std::size_t>(count));
-  for (std::uint64_t t = 0; t < count; ++t) {
+  out.reserve(count);
+  for (std::size_t t = 0; t < count; ++t) {
     TaskMapEntry e;
     e.layer = static_cast<std::size_t>(r.u64());
     const std::uint8_t phase = r.u8();

@@ -87,12 +87,11 @@ void TransientFaultModel::save_state(ckpt::ByteWriter& w) const {
 void TransientFaultModel::load_state(ckpt::ByteReader& r) {
   base_seed_ = r.u64();
   rounds_ = static_cast<std::size_t>(r.u64());
-  const std::uint64_t n = r.u64();
-  live_.assign(static_cast<std::size_t>(n), {});
+  live_.assign(r.count(8), {});  // each crossbar holds its upset count
   for (auto& upsets : live_) {
-    const std::uint64_t count = r.u64();
-    upsets.reserve(static_cast<std::size_t>(count));
-    for (std::uint64_t k = 0; k < count; ++k) {
+    const std::size_t count = r.count(4 + 1 + 1);  // cell, drift, half
+    upsets.reserve(count);
+    for (std::size_t k = 0; k < count; ++k) {
       UpsetCell u;
       u.cell = r.u32();
       u.toward_on = r.u8();

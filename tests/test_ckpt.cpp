@@ -73,6 +73,30 @@ TEST(Snapshot, ReadPastEndThrows) {
   EXPECT_THROW(r.u8(), ckpt::CheckpointError);
 }
 
+TEST(Snapshot, CountRejectsLengthsPastTheSection) {
+  // A decoded count is checked against the bytes left before any caller
+  // allocates for it, including counts whose byte size would wrap.
+  ckpt::ByteWriter w;
+  w.u64(3);
+  w.u64(0);
+  w.u64(0);
+  w.u64(0);
+  {
+    ckpt::ByteReader r(w.bytes().data(), w.size());
+    EXPECT_EQ(r.count(8), 3u);  // exactly fills the remaining 24 bytes
+  }
+  {
+    ckpt::ByteReader r(w.bytes().data(), w.size());
+    EXPECT_THROW(r.count(9), ckpt::CheckpointError);
+  }
+  ckpt::ByteWriter huge;
+  huge.u64(~std::uint64_t{0});
+  ckpt::ByteReader r(huge.bytes().data(), huge.size());
+  EXPECT_THROW(r.count(16), ckpt::CheckpointError);
+  EXPECT_EQ(r.bound(0, 16), 0u);
+  EXPECT_THROW((void)r.bound(1, 1), ckpt::CheckpointError);
+}
+
 TEST(Snapshot, ExpectEndCatchesLeftovers) {
   ckpt::ByteWriter w;
   w.u64(1);

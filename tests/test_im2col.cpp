@@ -54,7 +54,7 @@ TEST_P(Im2ColPropertyTest, MatchesNaiveGather) {
   Tensor img = Tensor::randn(Shape{g.channels, g.height, g.width}, rng);
   const std::size_t n = g.col_rows() * g.col_cols();
   std::vector<float> fast(n), ref(n);
-  im2col(img.data(), g, fast.data());
+  im2col(img.data(), g, fast.data(), g.col_cols());
   naive_im2col(img.data(), g, ref.data());
   for (std::size_t i = 0; i < n; ++i)
     ASSERT_EQ(fast[i], ref[i]) << "at " << i;
@@ -70,13 +70,13 @@ TEST_P(Im2ColPropertyTest, Col2ImIsAdjoint) {
   Tensor y = Tensor::randn(Shape{n}, rng);
 
   std::vector<float> cx(n);
-  im2col(x.data(), g, cx.data());
+  im2col(x.data(), g, cx.data(), g.col_cols());
   double lhs = 0.0;
   for (std::size_t i = 0; i < n; ++i)
     lhs += static_cast<double>(cx[i]) * y[i];
 
   Tensor back = Tensor::zeros(x.shape());
-  col2im(y.data(), g, back.data());
+  col2im(y.data(), g, back.data(), g.col_cols());
   double rhs = 0.0;
   for (std::size_t i = 0; i < x.numel(); ++i)
     rhs += static_cast<double>(x[i]) * back[i];
@@ -99,7 +99,7 @@ TEST(Im2Col, ZeroPaddingProducesZeros) {
   ConvGeom g{1, 2, 2, 3, 3, 1, 1};
   Tensor img = Tensor::ones(Shape{1, 2, 2});
   std::vector<float> col(g.col_rows() * g.col_cols());
-  im2col(img.data(), g, col.data());
+  im2col(img.data(), g, col.data(), g.col_cols());
   // Top-left kernel tap at output (0,0) reads the padded corner.
   EXPECT_EQ(col[0], 0.0f);
 }
