@@ -27,12 +27,10 @@ GemmTelemetry& gemm_telemetry() {
   return t;
 }
 
-}  // namespace
-
-void gemm(bool trans_a, bool trans_b, std::size_t m, std::size_t n,
-          std::size_t k, float alpha, const float* a, std::size_t lda,
-          const float* b, std::size_t ldb, float beta, float* c,
-          std::size_t ldc) {
+void gemm_split(bool trans_a, bool trans_b, std::size_t m, std::size_t n,
+                std::size_t k, DepthSplit split, float alpha, const float* a,
+                std::size_t lda, const float* b, std::size_t ldb, float beta,
+                float* c, std::size_t ldc) {
   GemmTelemetry& telem = gemm_telemetry();
   telemetry::KernelTimer timer(telem.calls, telem.ns);
 
@@ -61,7 +59,27 @@ void gemm(bool trans_a, bool trans_b, std::size_t m, std::size_t n,
       trans_a ? StridedOperand{a, 1, lda} : StridedOperand{a, lda, 1};
   const StridedOperand opb =
       trans_b ? StridedOperand{b, 1, ldb} : StridedOperand{b, ldb, 1};
-  gemm_packed(m, n, k, alpha, opa, opb, beta, c, ldc);
+  gemm_packed(m, n, k, alpha, opa, opb, beta, c, ldc, split);
+}
+
+}  // namespace
+
+void gemm(bool trans_a, bool trans_b, std::size_t m, std::size_t n,
+          std::size_t k, float alpha, const float* a, std::size_t lda,
+          const float* b, std::size_t ldb, float beta, float* c,
+          std::size_t ldc) {
+  gemm_split(trans_a, trans_b, m, n, k, DepthSplit{}, alpha, a, lda, b, ldb,
+             beta, c, ldc);
+}
+
+void gemm_grouped(bool trans_a, bool trans_b, std::size_t m, std::size_t n,
+                  std::size_t seg, std::size_t segs, std::size_t group,
+                  float alpha, const float* a, std::size_t lda,
+                  const float* b, std::size_t ldb, float beta, float* c,
+                  std::size_t ldc) {
+  if (group == 0) throw std::invalid_argument("gemm_grouped: group is 0");
+  gemm_split(trans_a, trans_b, m, n, seg * segs, DepthSplit{seg, group},
+             alpha, a, lda, b, ldb, beta, c, ldc);
 }
 
 Tensor matmul(const Tensor& a, const Tensor& b) {
