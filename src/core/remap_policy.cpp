@@ -16,18 +16,16 @@ PolicyPtr make_policy(const std::string& name) {
   if (name == "remap-t-5") return std::make_unique<RemapTopN>(0.05);
   if (name == "remap-t-10") return std::make_unique<RemapTopN>(0.10);
   if (name == "an-code")
-    return std::make_unique<AnCodePolicy>(
-        env_double_nonneg("REMAPD_ANCODE_CAP", 0.001));
+    return std::make_unique<AnCodePolicy>(knob_ancode_cap());
   if (name == "none") return std::make_unique<NoProtection>();
   if (name == "refresh") {
     DetectAndRefresh::Config cfg;
-    cfg.interval = env_size("REMAPD_REFRESH_EVERY", 1);
+    cfg.interval = knob_refresh_every();
     return std::make_unique<DetectAndRefresh>(cfg);
   }
   if (name == "xchangr") return std::make_unique<XChangrMapping>();
   if (name == "drop-connect")
-    return std::make_unique<DropConnect>(
-        env_double_nonneg("REMAPD_DROP_FRACTION", 0.05));
+    return std::make_unique<DropConnect>(knob_drop_fraction());
   throw std::invalid_argument("make_policy: unknown policy " + name);
 }
 

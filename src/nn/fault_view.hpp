@@ -27,6 +27,15 @@
 
 namespace remapd {
 
+/// Which crossbar copy of a layer an MVM runs on: the forward crossbars
+/// hold W, the physically distinct backward crossbars hold W^T (for
+/// dX = dY·W^T), each with its own fault map and so its own FaultView.
+enum class Phase : std::uint8_t { kForward = 0, kBackward = 1 };
+
+[[nodiscard]] constexpr const char* phase_name(Phase p) {
+  return p == Phase::kForward ? "forward" : "backward";
+}
+
 /// Which half of the differential pair is stuck, and at which level.
 /// (For single-array mapping only the SA0/SA1 distinction matters.)
 enum class WeightClampKind : std::uint8_t {

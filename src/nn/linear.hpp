@@ -1,44 +1,22 @@
-// Fully-connected layer: y = x * W^T + b, the direct crossbar MVM case.
+// Fully-connected layer: y = x * W^T + b, the direct crossbar MVM case. The
+// crossbar side (fault views, effective weights, the int8-or-fp32 MVM) is
+// FaultableLayer's; this layer owns only the flatten, the transposed
+// orientation of its MVMs (a batch row per sample) and the digital dW/db.
 #pragma once
 
-#include <optional>
-
 #include "nn/layer.hpp"
-#include "tensor/gemm_int8.hpp"
 
 namespace remapd {
 
-class Linear final : public Layer, public FaultableLayer {
+class Linear final : public FaultableLayer {
  public:
   Linear(std::size_t in_features, std::size_t out_features, Rng& rng,
          std::string tag = "fc");
 
   Tensor forward(const Tensor& x, bool train) override;
   Tensor backward(const Tensor& dy) override;
-  std::vector<Param*> params() override { return {&weight_, &bias_}; }
-  [[nodiscard]] std::string name() const override { return tag_; }
-
-  [[nodiscard]] std::size_t weight_rows() const override { return out_f_; }
-  [[nodiscard]] std::size_t weight_cols() const override { return in_f_; }
-  void set_fault_views(FaultView forward_view,
-                       FaultView backward_view) override;
-  void clear_fault_views() override;
-  Param& weight_param() override { return weight_; }
 
  private:
-  const Tensor& effective_weights(const std::optional<FaultView>& view,
-                                  Tensor& cache) const;
-
-  std::size_t in_f_, out_f_;
-  Param weight_;  ///< out x in
-  Param bias_;    ///< out
-  std::string tag_;
-
-  std::optional<FaultView> fwd_view_, bwd_view_;
-  mutable Tensor fwd_eff_, bwd_eff_;
-  // Int8 fast-path panels (see conv2d.hpp): members only on the training
-  // path; eval forwards pack into call-locals.
-  Int8APack fwd_i8_, bwd_i8_;
   Tensor last_x_;  ///< input flattened to {N, in}, saved for backward
   Shape last_input_shape_;
 };

@@ -127,18 +127,6 @@ void ResidualBlock::visit(const std::function<void(Layer&)>& fn) {
   }
 }
 
-std::vector<FaultableLayer*> ResidualBlock::faultable() {
-  std::vector<FaultableLayer*> out{&conv1_, &conv2_};
-  if (proj_) out.push_back(proj_.get());
-  return out;
-}
-
-std::vector<Layer*> ResidualBlock::conv_layers() {
-  std::vector<Layer*> out{&conv1_, &conv2_};
-  if (proj_) out.push_back(proj_.get());
-  return out;
-}
-
 // --------------------------------------------------------------- FireModule
 
 FireModule::FireModule(std::size_t in_channels, std::size_t squeeze,
@@ -251,32 +239,6 @@ void FireModule::visit(const std::function<void(Layer&)>& fn) {
   e1_bn_.visit(fn);
   expand3_.visit(fn);
   e3_bn_.visit(fn);
-}
-
-std::vector<FaultableLayer*> FireModule::faultable() {
-  return {&squeeze_, &expand1_, &expand3_};
-}
-
-std::vector<Layer*> FireModule::conv_layers() {
-  return {&squeeze_, &expand1_, &expand3_};
-}
-
-// --------------------------------------------------------- collect_faultable
-
-std::vector<FaultableLayer*> collect_faultable(Layer& root) {
-  std::vector<FaultableLayer*> out;
-  if (auto* f = dynamic_cast<FaultableLayer*>(&root)) {
-    out.push_back(f);
-    return out;
-  }
-  if (auto* seq = dynamic_cast<Sequential*>(&root)) {
-    for (const auto& child : seq->children())
-      for (FaultableLayer* f : collect_faultable(*child)) out.push_back(f);
-    return out;
-  }
-  if (auto* rb = dynamic_cast<ResidualBlock*>(&root)) return rb->faultable();
-  if (auto* fm = dynamic_cast<FireModule*>(&root)) return fm->faultable();
-  return out;
 }
 
 }  // namespace remapd

@@ -58,10 +58,6 @@ class ResidualBlock final : public Layer {
   void visit(const std::function<void(Layer&)>& fn) override;
   [[nodiscard]] std::string name() const override { return tag_; }
 
-  /// Faultable convs inside the block (for the crossbar mapper).
-  std::vector<FaultableLayer*> faultable();
-  std::vector<Layer*> conv_layers();
-
  private:
   std::string tag_;
   Conv2d conv1_;
@@ -89,9 +85,6 @@ class FireModule final : public Layer {
   void visit(const std::function<void(Layer&)>& fn) override;
   [[nodiscard]] std::string name() const override { return tag_; }
 
-  std::vector<FaultableLayer*> faultable();
-  std::vector<Layer*> conv_layers();
-
   [[nodiscard]] std::size_t out_channels() const { return e1_ + e3_; }
 
  private:
@@ -107,9 +100,5 @@ class FireModule final : public Layer {
   Tensor sq_mask_, e1_mask_, e3_mask_;
   Shape e1_shape_, e3_shape_;
 };
-
-/// Recursively collect FaultableLayer interfaces from a layer tree. Knows
-/// the concrete composite types of this library.
-std::vector<FaultableLayer*> collect_faultable(Layer& root);
 
 }  // namespace remapd

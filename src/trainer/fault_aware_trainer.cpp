@@ -13,11 +13,6 @@
 namespace remapd {
 namespace {
 
-/// Conductance full-scale as a multiple of the layer weight RMS
-/// (REMAPD_WMAX_RMS overrides for ablation studies).
-const float kFullScaleRms = static_cast<float>(
-    env_double_nonneg("REMAPD_WMAX_RMS", 4.0));
-
 /// Domain tag separating the stochastic programmer's seed stream from every
 /// other derive_seed consumer of cfg.seed.
 constexpr std::uint64_t kProgrammerSeedTag = 0x70726f67;  // "prog"
@@ -141,7 +136,7 @@ void FaultAwareTrainer::redeploy_interconnect(const IrDropConfig& ir,
 
 float FaultAwareTrainer::compute_layer_w_max(std::size_t l) const {
   // Conductance full-scale tracks the layer's dynamic range: the mapping
-  // allocates headroom of `kFullScaleRms` times the weight RMS (like a
+  // allocates headroom of knob_wmax_rms() times the weight RMS (like a
   // fixed-point quantizer clipping rare outliers). A stuck cell therefore
   // represents a full-scale (multi-sigma) weight value, and conductance
   // saturation bounds any drift to the same range.
@@ -151,7 +146,7 @@ float FaultAwareTrainer::compute_layer_w_max(std::size_t l) const {
     sq += static_cast<double>(w[i]) * w[i];
   const float rms = static_cast<float>(
       std::sqrt(sq / static_cast<double>(std::max<std::size_t>(w.numel(), 1))));
-  return std::max(0.05f, kFullScaleRms * rms);
+  return std::max(0.05f, static_cast<float>(knob_wmax_rms()) * rms);
 }
 
 void FaultAwareTrainer::program_step() {

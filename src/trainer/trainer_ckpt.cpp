@@ -157,17 +157,14 @@ FaultAwareTrainer::config_fingerprint() const {
   p.emplace_back("use_bist", fmt_b(cfg_.use_bist_estimates));
   // Env knobs that alter the faulted arithmetic itself (REMAPD_THREADS is
   // deliberately absent: results are bitwise thread-count-invariant).
-  p.emplace_back("env.wmax_rms", fmt_f(env_double_nonneg("REMAPD_WMAX_RMS",
-                                                         4.0)));
-  p.emplace_back("env.grad_pin", fmt_f(env_double_nonneg("REMAPD_GRAD_PIN",
-                                                         12.0)));
+  p.emplace_back("env.wmax_rms", fmt_f(knob_wmax_rms()));
+  p.emplace_back("env.grad_pin", fmt_f(knob_grad_pin()));
   // Policy knobs that shape the trajectory when their policy is active
   // (harmless constants otherwise, but fingerprinting them unconditionally
   // keeps the field list fixed).
-  p.emplace_back("env.refresh_every",
-                 std::to_string(env_size("REMAPD_REFRESH_EVERY", 1)));
-  p.emplace_back("env.drop_fraction",
-                 fmt_f(env_double_nonneg("REMAPD_DROP_FRACTION", 0.05)));
+  p.emplace_back("env.refresh_every", std::to_string(knob_refresh_every()));
+  p.emplace_back("env.drop_fraction", fmt_f(knob_drop_fraction()));
+  p.emplace_back("env.ancode_cap", fmt_f(knob_ancode_cap()));
   return p;
 }
 

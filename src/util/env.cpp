@@ -67,4 +67,20 @@ std::string env_str(const std::string& name, const std::string& def) {
   return v ? std::string(v) : def;
 }
 
+double knob_wmax_rms() { return env_double_nonneg("REMAPD_WMAX_RMS", 4.0); }
+
+double knob_grad_pin() { return env_double_nonneg("REMAPD_GRAD_PIN", 12.0); }
+
+std::size_t knob_refresh_every() {
+  return env_size("REMAPD_REFRESH_EVERY", 1);
+}
+
+double knob_drop_fraction() {
+  return env_double_nonneg("REMAPD_DROP_FRACTION", 0.05);
+}
+
+double knob_ancode_cap() {
+  return env_double_nonneg("REMAPD_ANCODE_CAP", 0.001);
+}
+
 }  // namespace remapd

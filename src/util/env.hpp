@@ -51,4 +51,23 @@ double env_double_nonneg(const std::string& name, double def);
 /// String env var with default.
 std::string env_str(const std::string& name, const std::string& def);
 
+// Knobs that change the faulted arithmetic. Each has exactly one accessor
+// (and so one default), read both where the arithmetic uses it and by the
+// checkpoint config fingerprint, so a checkpoint resumed under a different
+// setting is refused. Every call re-reads the environment.
+
+/// REMAPD_WMAX_RMS (4): conductance full scale as a multiple of the layer
+/// weight RMS.
+double knob_wmax_rms();
+/// REMAPD_GRAD_PIN (12): magnitude of a pinned gradient component in
+/// units of the layer's healthy gradient RMS.
+double knob_grad_pin();
+/// REMAPD_REFRESH_EVERY (1): epochs between detect-and-refresh rounds.
+std::size_t knob_refresh_every();
+/// REMAPD_DROP_FRACTION (0.05): drop-connect's severed weight fraction.
+double knob_drop_fraction();
+/// REMAPD_ANCODE_CAP (0.001): the fault density up to which the AN-code
+/// policy corrects a crossbar's outputs.
+double knob_ancode_cap();
+
 }  // namespace remapd

@@ -24,12 +24,6 @@ namespace remapd {
 
 class TransientFaultModel;  // xbar/transient.hpp
 
-enum class Phase : std::uint8_t { kForward = 0, kBackward = 1 };
-
-[[nodiscard]] constexpr const char* phase_name(Phase p) {
-  return p == Phase::kForward ? "forward" : "backward";
-}
-
 using TaskId = std::size_t;
 constexpr std::size_t kNoTask = static_cast<std::size_t>(-1);
 

@@ -398,5 +398,30 @@ TEST(CheckpointResume, ConfigMismatchIsNamed) {
   std::remove(path.c_str());
 }
 
+TEST(CheckpointResume, AnCodeCapMismatchIsNamed) {
+  // REMAPD_ANCODE_CAP decides which crossbars the AN-code policy corrects,
+  // so a checkpoint saved under one cap must not resume under another.
+  const std::string path = tmp_path("ancode_cap.ckpt");
+  TrainerConfig cfg = resume_cfg();
+  cfg.epochs = 1;
+  cfg.policy = "an-code";
+  ::setenv("REMAPD_ANCODE_CAP", "0.002", 1);
+  {
+    FaultAwareTrainer trainer(cfg);
+    trainer.run();
+    trainer.save_checkpoint(path);
+  }
+  ::unsetenv("REMAPD_ANCODE_CAP");  // back to the default cap, 0.001
+  cfg.resume_from = path;
+  try {
+    FaultAwareTrainer trainer(cfg);
+    FAIL() << "an-code cap mismatch accepted";
+  } catch (const ckpt::CheckpointError& e) {
+    const std::string msg = e.what();
+    EXPECT_NE(msg.find("env.ancode_cap"), std::string::npos) << msg;
+  }
+  std::remove(path.c_str());
+}
+
 }  // namespace
 }  // namespace remapd

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "models/registry.hpp"
 #include "nn/loss.hpp"
 
@@ -98,6 +101,33 @@ TEST(ModelZoo, DepthOrderingInConvCount) {
   Model r18 = build_model("resnet18", ModelConfig{}, rng);
   Model r12 = build_model("resnet12", ModelConfig{}, rng);
   EXPECT_EQ(r18.faultable().size() - r12.faultable().size(), 6u);
+}
+
+TEST(ModelZoo, FaultableOrderIsPinned) {
+  // The crossbar mapper and checkpoints index layers by their position in
+  // Model::faultable(); reordering it would remap every task silently.
+  const auto tags = [](const std::string& name) {
+    Rng rng(49);
+    Model m = build_model(name, ModelConfig{}, rng);
+    std::vector<std::string> out;
+    for (FaultableLayer* l : m.faultable()) out.push_back(l->name());
+    return out;
+  };
+  EXPECT_EQ(tags("resnet12"),
+            (std::vector<std::string>{
+                "stem", "s0b0.conv1", "s0b0.conv2", "s1b0.conv1",
+                "s1b0.conv2", "s1b0.proj", "s2b0.conv1", "s2b0.conv2",
+                "s2b0.proj", "s3b0.conv1", "s3b0.conv2", "s3b0.proj",
+                "s3b1.conv1", "s3b1.conv2", "fc"}));
+  EXPECT_EQ(tags("squeezenet"),
+            (std::vector<std::string>{
+                "stem", "fire0.squeeze", "fire0.expand1", "fire0.expand3",
+                "fire1.squeeze", "fire1.expand1", "fire1.expand3",
+                "fire2.squeeze", "fire2.expand1", "fire2.expand3",
+                "fire3.squeeze", "fire3.expand1", "fire3.expand3",
+                "fire4.squeeze", "fire4.expand1", "fire4.expand3",
+                "fire5.squeeze", "fire5.expand1", "fire5.expand3",
+                "classifier"}));
 }
 
 TEST(ModelZoo, WidthScalesWithBaseWidth) {

@@ -406,9 +406,9 @@ TEST(Sgd, GlobalNormClipBoundsUpdate) {
 
 TEST(GradientPinning, PinsSignAndMagnitude) {
   Tensor grad = Tensor::from_vector(Shape{4}, {0.1f, -0.1f, 0.1f, -0.1f});
-  std::optional<FaultView> view = FaultView{};
-  view->clamps.push_back(WeightClamp{0, WeightClampKind::kPosStuck1});
-  view->clamps.push_back(WeightClamp{1, WeightClampKind::kNegStuck0});
+  FaultView view;
+  view.clamps.push_back(WeightClamp{0, WeightClampKind::kPosStuck1});
+  view.clamps.push_back(WeightClamp{1, WeightClampKind::kNegStuck0});
   apply_gradient_pinning(view, grad);
   EXPECT_GT(grad[0], 0.1f);             // pinned positive, amplified
   EXPECT_LT(grad[1], -0.1f);            // pinned negative
@@ -419,11 +419,9 @@ TEST(GradientPinning, PinsSignAndMagnitude) {
 
 TEST(GradientPinning, NoViewIsNoOp) {
   Tensor grad = Tensor::from_vector(Shape{2}, {1.0f, 2.0f});
-  std::optional<FaultView> none;
-  apply_gradient_pinning(none, grad);
+  // An empty view (healthy crossbars) pins nothing.
+  apply_gradient_pinning(FaultView{}, grad);
   EXPECT_FLOAT_EQ(grad[0], 1.0f);
-  std::optional<FaultView> empty = FaultView{};
-  apply_gradient_pinning(empty, grad);
   EXPECT_FLOAT_EQ(grad[1], 2.0f);
 }
 
@@ -486,7 +484,7 @@ TEST(ResidualBlock, IdentitySkipShape) {
   ResidualBlock block(4, 4, 1, rng, "rb");
   Tensor x = Tensor::randn(Shape{2, 4, 4, 4}, rng);
   EXPECT_EQ(block.forward(x, false).shape(), x.shape());
-  EXPECT_EQ(block.faultable().size(), 2u);  // no projection
+  EXPECT_EQ(collect_faultable(block).size(), 2u);  // no projection
 }
 
 TEST(ResidualBlock, ProjectionWhenShapeChanges) {
@@ -494,7 +492,7 @@ TEST(ResidualBlock, ProjectionWhenShapeChanges) {
   ResidualBlock block(4, 8, 2, rng, "rb");
   Tensor x = Tensor::randn(Shape{1, 4, 8, 8}, rng);
   EXPECT_EQ(block.forward(x, false).shape(), (Shape{1, 8, 4, 4}));
-  EXPECT_EQ(block.faultable().size(), 3u);  // conv1, conv2, proj
+  EXPECT_EQ(collect_faultable(block).size(), 3u);  // conv1, conv2, proj
 }
 
 TEST(ResidualBlock, GradientFlowsThroughSkip) {
@@ -511,7 +509,7 @@ TEST(FireModule, ConcatenatesExpandPaths) {
   Tensor y = fire.forward(x, false);
   EXPECT_EQ(y.shape(), (Shape{2, 8, 4, 4}));
   EXPECT_EQ(fire.out_channels(), 8u);
-  EXPECT_EQ(fire.faultable().size(), 3u);
+  EXPECT_EQ(collect_faultable(fire).size(), 3u);
 }
 
 TEST(FireModule, GradientMatchesFiniteDifference) {
@@ -529,8 +527,13 @@ TEST(CollectFaultable, FindsNestedWeightLayers) {
   seq.emplace<ResidualBlock>(4, 8, 2, rng, "rb");
   seq.emplace<FireModule>(8, 2, 4, 4, rng, "f");
   seq.emplace<Linear>(8, 2, rng);
-  // conv + (conv1, conv2, proj) + (squeeze, e1, e3) + fc = 8
-  EXPECT_EQ(collect_faultable(seq).size(), 8u);
+  // conv + (conv1, conv2, proj) + (squeeze, e1, e3) + fc = 8, in visit()
+  // order: the crossbar mapper and checkpoints index layers by it.
+  std::vector<std::string> tags;
+  for (FaultableLayer* f : collect_faultable(seq)) tags.push_back(f->name());
+  EXPECT_EQ(tags, (std::vector<std::string>{"conv", "rb.conv1", "rb.conv2",
+                                            "rb.proj", "f.squeeze",
+                                            "f.expand1", "f.expand3", "fc"}));
 }
 
 TEST(Visit, ReachesEveryBatchNorm) {
