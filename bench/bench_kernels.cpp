@@ -4,7 +4,9 @@
 // the figure-reproduction benches.
 //
 // `--json PATH` switches to a handwritten micro-set covering the packed
-// GEMM kernel's three driver paths (NN/NT/TN at 256^3, with GFLOP/s), the
+// GEMM kernel's three driver paths (NN/NT/TN at 256^3, with GFLOP/s),
+// three resnet12 conv-step GEMM shapes (forward m = 8, a grouped dW of
+// 4-deep segments, dX of depth 8; reported, not baselined), the
 // batch-lowered conv forward and backward on a wide early layer and on a
 // deep 2x2 layer, and im2col, at 1 and 4 threads
 // with a bitwise cross-thread determinism verdict — the BENCH_kernels.json
@@ -187,6 +189,18 @@ int run_json_microset(const std::string& json_path) {
   std::vector<float> c_nn(kN * kN), c_nt(kN * kN), c_tn(kN * kN);
   const double cube_flops = 2.0 * kN * kN * kN;
 
+  // resnet12's conv-step shapes at batch 32 on 16x16 inputs: the 8-channel
+  // stem-stage forward (m = 8 fills 8 of two 6-row strips), a last-stage
+  // dW whose depth is 32 samples of 4 columns summed in groups of 2, and
+  // the stem-stage dX with depth out_ch = 8.
+  const Tensor fw_a = Tensor::randn(Shape{8, 72}, rng);
+  const Tensor fw_b = Tensor::randn(Shape{72, 8192}, rng);
+  const Tensor dw_a = Tensor::randn(Shape{64, 128}, rng);
+  const Tensor dw_b = Tensor::randn(Shape{576, 128}, rng);
+  const Tensor dx_a = Tensor::randn(Shape{8, 72}, rng);
+  const Tensor dx_b = Tensor::randn(Shape{8, 8192}, rng);
+  std::vector<float> c_fw(8 * 8192), c_dw(64 * 576), c_dx(72 * 8192);
+
   const Tensor cx = Tensor::randn(Shape{16, 3, 32, 32}, rng);
   Rng crng(7);
   Conv2d conv(3, 32, 3, 1, 1, crng);
@@ -227,6 +241,31 @@ int run_json_microset(const std::string& json_path) {
                            b.data(), kN, 0.0f, c_tn.data(), kN);
                     },
                     &c_tn,
+                    {}});
+  micros.push_back({"gemm_fwd_m8", 2.0 * 8 * 8192 * 72,
+                    [&] {
+                      gemm(false, false, 8, 8192, 72, 1.0f, fw_a.data(), 72,
+                           fw_b.data(), 8192, 0.0f, c_fw.data(), 8192);
+                    },
+                    &c_fw,
+                    {}});
+  micros.push_back({"gemm_dw_seg4", 2.0 * 64 * 576 * 128,
+                    [&] {
+                      gemm_grouped(false, true, 64, 576, 4, 32, 2, 1.0f,
+                                   dw_a.data(), 128, dw_b.data(), 128, 1.0f,
+                                   c_dw.data(), 576);
+                    },
+                    &c_dw,
+                    {},
+                    // beta = 1 accumulates, as dW does; each run starts
+                    // from a zeroed gradient.
+                    [&] { std::fill(c_dw.begin(), c_dw.end(), 0.0f); }});
+  micros.push_back({"gemm_dx_k8", 2.0 * 72 * 8192 * 8,
+                    [&] {
+                      gemm(true, false, 72, 8192, 8, 1.0f, dx_a.data(), 72,
+                           dx_b.data(), 8192, 0.0f, c_dx.data(), 8192);
+                    },
+                    &c_dx,
                     {}});
   micros.push_back({"conv_fwd", 0.0,
                     [&] {

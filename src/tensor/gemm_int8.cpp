@@ -17,7 +17,10 @@ namespace {
 
 // Register tile: 4 rows x 16 columns of int32 accumulators (4 rows x 2 ymm
 // on AVX2/VNNI). Depth advances in quads of 4 k-values — the natural unit
-// of the byte dot-product instructions.
+// of the byte dot-product instructions. The kernels' loops over the tile's
+// rows carry `#pragma GCC unroll`: GCC does not unroll them at -O2, and a
+// rolled loop keeps the accumulator array on the stack, with a load and a
+// store around every dot product.
 constexpr std::size_t kQMR = 4;
 constexpr std::size_t kQNR = 16;
 constexpr std::size_t kQMC = 64;  // row-partition grain, multiple of kQMR
@@ -167,6 +170,7 @@ __attribute__((target("avx2"))) void micro_int8_avx2(std::size_t kq,
                                                      const std::uint8_t* bp,
                                                      std::int32_t* tile) {
   __m256i acc[kQMR][2];
+#pragma GCC unroll 4
   for (std::size_t r = 0; r < kQMR; ++r)
     acc[r][0] = acc[r][1] = _mm256_setzero_si256();
   const __m256i ones = _mm256_set1_epi16(1);
@@ -175,6 +179,7 @@ __attribute__((target("avx2"))) void micro_int8_avx2(std::size_t kq,
         reinterpret_cast<const __m256i*>(bp + p * 64));
     const __m256i b1 = _mm256_loadu_si256(
         reinterpret_cast<const __m256i*>(bp + p * 64 + 32));
+#pragma GCC unroll 4
     for (std::size_t r = 0; r < kQMR; ++r) {
       const __m256i va = _mm256_set1_epi32(ap[p * kQMR + r]);
       // u8 (B) x s8 (A) pair-sums; exact because |A| <= 63 (see header).
@@ -186,6 +191,7 @@ __attribute__((target("avx2"))) void micro_int8_avx2(std::size_t kq,
           _mm256_madd_epi16(_mm256_maddubs_epi16(b1, va), ones));
     }
   }
+#pragma GCC unroll 4
   for (std::size_t r = 0; r < kQMR; ++r) {
     _mm256_storeu_si256(reinterpret_cast<__m256i*>(tile + r * kQNR),
                         acc[r][0]);
@@ -198,6 +204,7 @@ __attribute__((target("avx512vnni,avx512vl"))) void micro_int8_vnni(
     std::size_t kq, const std::int32_t* ap, const std::uint8_t* bp,
     std::int32_t* tile) {
   __m256i acc[kQMR][2];
+#pragma GCC unroll 4
   for (std::size_t r = 0; r < kQMR; ++r)
     acc[r][0] = acc[r][1] = _mm256_setzero_si256();
   for (std::size_t p = 0; p < kq; ++p) {
@@ -205,12 +212,14 @@ __attribute__((target("avx512vnni,avx512vl"))) void micro_int8_vnni(
         reinterpret_cast<const __m256i*>(bp + p * 64));
     const __m256i b1 = _mm256_loadu_si256(
         reinterpret_cast<const __m256i*>(bp + p * 64 + 32));
+#pragma GCC unroll 4
     for (std::size_t r = 0; r < kQMR; ++r) {
       const __m256i va = _mm256_set1_epi32(ap[p * kQMR + r]);
       acc[r][0] = _mm256_dpbusd_epi32(acc[r][0], b0, va);
       acc[r][1] = _mm256_dpbusd_epi32(acc[r][1], b1, va);
     }
   }
+#pragma GCC unroll 4
   for (std::size_t r = 0; r < kQMR; ++r) {
     _mm256_storeu_si256(reinterpret_cast<__m256i*>(tile + r * kQNR),
                         acc[r][0]);

@@ -2,51 +2,56 @@
 //
 // The compute core is a packed, blocked sweep (BLIS-style):
 //
-//   pack alpha*op(A) into kMR-row strips, every depth chunk  (L2-resident)
+//   pack alpha*op(A) into kMR-row strips over the whole depth
 //   parallel_for blocks of (kMC row block x kNR strip) tiles:
-//     for pc in K step kKC:                      // depth chunk, in order
+//     for each pass of the depth, in order:       // a kKC chunk or a group
 //       for each strip of the block:
-//         pack B[pc:pc+kc, strip] (kNR wide)      // L1-resident
-//         for each of the block's row blocks of the strip:
-//           for ir strips of the row block:
-//             micro-kernel: kMR x kNR register tile over the packed strips
+//         pack B[pass, strip] (kNR wide)
+//         for each kMR strip of the block's row blocks of the strip:
+//           micro-kernel: live rows x kNR register tile over the pass,
+//                         added straight into C
 //
 // Tiling in two dimensions lets a wide, short product (a conv layer's
 // whole-batch GEMM has m = out_ch of 8..64 rows and thousands of columns)
 // use every worker, and packing each B strip inside the block that uses it
 // needs one pool dispatch per call instead of two per depth chunk.
 //
-// The micro-kernel accumulates a full kMR x kNR tile in registers over the
-// kc depth chunk and merges it into C afterwards. Per C element the
+// The micro-kernel is row-exact (one instantiation per live row count
+// 1..kMR, so m = 8 computes 8 rows, not 12) and masks column tails. It
+// accumulates each depth chunk in registers from zero and adds the tile
+// into C itself, applying beta at the first pass. Per C element the
 // floating-point order is therefore
 //
 //   C(i,j) = ((beta*C(i,j) + chunk_0) + chunk_1) + ... ,
 //   chunk_t = sum over k in [t*kKC, (t+1)*kKC) in ascending-k order,
 //
-// which depends only on (m, n, k, beta) — never on the thread count, the
-// tile partition, or which strip a row lands in (every element owns a
-// private accumulator lane). That preserves the PR-3 contract: any
-// REMAPD_THREADS value is bitwise identical, checkpoints resume exactly.
+// with beta*C read as 0 + ... for beta == 0 (C is never read, and a -0.0
+// sum stores +0.0). That depends only on (m, n, k, beta), never on the
+// thread count, the tile partition, or which strip a row lands in (every
+// element owns a private accumulator lane). That keeps the contract of
+// DESIGN §9: any REMAPD_THREADS value is bitwise identical, checkpoints
+// resume exactly.
 //
 // A grouped depth (DepthSplit, for a conv layer's dW over a batch panel)
-// restarts the chunks at every segment, and each tile block sums each
-// group of segments into zeroed partials that are added to C in group
-// order: C = ((beta*C + P_0) + P_1) + ..., each partial
-// P_g = ((0 + chunk) + chunk) + ... over its own segments' chunks.
+// restarts the chunks at every segment. A pass is then one group: the
+// micro-kernel walks the group's segments, sums their chunks into a
+// tile-local partial, and adds it to C, so C = ((beta*C + P_0) + P_1) + ...
+// in group order, each partial P_g = ((0 + chunk) + chunk) + ... over its
+// own segments' chunks.
 //
 // Transposed operands are handled by the packing layer (an operand is a
 // pointer plus row/col strides), so NT/TN/TT never materialize a
-// transposed copy. Packed A lives in a grow-only thread-local arena and
-// each B strip in a block-local buffer (group partials in grow-only
-// thread-local arenas too); steady-state calls perform no heap
-// allocation (see gemm_scratch_allocations()).
+// transposed copy. Packed A and each block's B strip live in grow-only
+// thread-local arenas; steady-state calls perform no heap allocation (see
+// gemm_scratch_allocations()).
 //
-// Two micro-kernel implementations sit behind one function pointer chosen
-// at process start: an AVX2+FMA intrinsics kernel (x86-64, runtime
-// __builtin_cpu_supports dispatch, no special build flags needed) and a
-// portable `#pragma omp simd` kernel. The choice is per-process, so it
-// cannot vary with thread count; results may differ across machines (as
-// compiler flags already allow) but never across runs on one machine.
+// Two kernel sets sit behind one table chosen at process start: AVX2+FMA
+// intrinsics (x86-64, runtime __builtin_cpu_supports dispatch, no special
+// build flags needed; B packed by vector copies or 8x8 in-register
+// transposes) and portable scalar code with `#pragma omp simd`. The choice
+// is per-process, so it cannot vary with thread count; results may differ
+// across machines (as compiler flags already allow) but never across runs
+// on one machine.
 #pragma once
 
 #include <cstddef>
@@ -57,7 +62,8 @@ namespace remapd {
 // Register tile and cache-block geometry. kMR x kNR is the micro-tile
 // (6 rows x 16 columns = 12 YMM accumulators + 2 B vectors + 1 A broadcast
 // on AVX2). kMC/kKC size the packed A block of a tile (~48 KiB) and
-// kKC x kNR the packed B strip (16 KiB).
+// kKC x kNR the packed B strip of a plain pass (16 KiB); a grouped pass
+// packs the group's whole depth.
 inline constexpr std::size_t kMR = 6;
 inline constexpr std::size_t kNR = 16;
 inline constexpr std::size_t kMC = 48;   // tile rows, multiple of kMR
@@ -88,8 +94,7 @@ struct DepthSplit {
 /// C = alpha * op(A) * op(B) + beta * C over strided operands, C row-major
 /// m x n with leading dimension ldc. beta == 0 never reads C (NaN/garbage
 /// in C is overwritten, BLAS semantics). The beta scale/clear is folded
-/// into the tile sweep: each tile scales its own C region right before
-/// accumulating its first depth chunk, so no serial pre-pass runs.
+/// into the micro-kernel's first add into each tile, so no pre-pass runs.
 /// Requires alpha != 0 and m, n, k > 0 (the gemm() wrapper handles the
 /// degenerate cases).
 void gemm_packed(std::size_t m, std::size_t n, std::size_t k, float alpha,

@@ -7,12 +7,15 @@
 // depth sum of gemm_grouped against per-segment gemm() calls, allocation-free
 // steady state for the transposed paths (which previously materialized
 // fresh transpose buffers per call), and the flops telemetry regression
-// (degenerate calls must record zero flops).
+// (degenerate calls must record zero flops), and bitwise agreement with a
+// scalar fmaf reference of the documented per-element operation order.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <string>
 #include <vector>
 
 #include "telemetry/telemetry.hpp"
@@ -293,6 +296,125 @@ TEST(GemmKernel, GroupedDepthMatchesPerSegmentGemmBitwise) {
       ASSERT_EQ(0, std::memcmp(c.data(), ref.data(),
                                cs.m * cs.n * sizeof(float)))
           << "m=" << cs.m << " seg=" << cs.seg << " threads=" << threads;
+    }
+  }
+}
+
+/// beta*C rounded on its own: out of line, so the compiler cannot contract
+/// it with the add that follows into one FMA.
+[[gnu::noinline]] float rounded_mul(float x, float y) { return x * y; }
+
+/// The documented per-element order of gemm_packed in scalar fmaf: beta
+/// once (0 + ... for beta == 0, C unread), then each depth chunk — kKC
+/// deep, restarting at segment boundaries — accumulated from zero in
+/// ascending k. A plain depth adds each chunk to C; a grouped depth sums a
+/// group's chunks into a zeroed partial that is added to C in group order.
+void fma_order_ref(bool ta, bool tb, std::size_t m, std::size_t n,
+                   std::size_t k, DepthSplit split, float alpha,
+                   const float* a, std::size_t lda, const float* b,
+                   std::size_t ldb, float beta, float* c, std::size_t ldc) {
+  for (std::size_t i = 0; i < m; ++i)
+    for (std::size_t j = 0; j < n; ++j) {
+      float& cij = c[i * ldc + j];
+      float acc = beta == 0.0f   ? 0.0f
+                  : beta == 1.0f ? cij
+                                 : rounded_mul(cij, beta);
+      float part = 0.0f;
+      for (std::size_t pc = 0, kc; pc < k; pc += kc) {
+        const std::size_t end =
+            split.seg == 0 ? k : (pc / split.seg + 1) * split.seg;
+        kc = std::min(kKC, end - pc);
+        float chunk = 0.0f;
+        for (std::size_t p = pc; p < pc + kc; ++p) {
+          const float av = ta ? a[p * lda + i] : a[i * lda + p];
+          const float bv = tb ? b[j * ldb + p] : b[p * ldb + j];
+          chunk = std::fmaf(alpha * av, bv, chunk);
+        }
+        if (split.seg == 0) {
+          acc = acc + chunk;
+          continue;
+        }
+        part = part + chunk;
+        if ((pc + kc) % (split.seg * split.group) == 0 || pc + kc == k) {
+          acc = acc + part;
+          part = 0.0f;
+        }
+      }
+      cij = acc;
+    }
+}
+
+TEST(GemmKernel, MatchesFmaReferenceOrderBitwise) {
+  // The AVX2 kernel issues exactly the reference's IEEE operations per C
+  // element (FMA chains per chunk, then the documented adds), so the two
+  // agree bit for bit: every live-row count of a strip, column tails,
+  // depths below, at and above kKC, grouped depths with a segment crossing
+  // a chunk, each beta and operand layout, at 1 and 4 threads. beta = 0.3
+  // makes beta*C inexact, so an FMA contracted from beta*C + chunk shows.
+  // The portable kernel rounds each product before its add, so it is not
+  // FMA-exact.
+  if (std::string(gemm_kernel_name()) != "avx2")
+    GTEST_SKIP() << "kernel is " << gemm_kernel_name();
+  struct Layout {
+    bool ta, tb;
+  };
+  const Layout layouts[] = {{false, false}, {false, true}, {true, false}};
+  Rng rng(61);
+  const auto check = [&](std::size_t m, std::size_t n, std::size_t k,
+                         DepthSplit split, Layout l, float alpha,
+                         float beta) {
+    const Tensor a = l.ta ? random_matrix(k, m, rng) : random_matrix(m, k, rng);
+    const Tensor b = l.tb ? random_matrix(n, k, rng) : random_matrix(k, n, rng);
+    const std::size_t lda = l.ta ? m : k, ldb = l.tb ? k : n;
+    const Tensor c0 = random_matrix(m, n, rng);
+    Tensor ref = c0;
+    fma_order_ref(l.ta, l.tb, m, n, k, split, alpha, a.data(), lda, b.data(),
+                  ldb, beta, ref.data(), n);
+    for (const std::size_t threads : {1, 4}) {
+      ThreadGuard guard(threads);
+      Tensor c = c0;
+      if (split.seg == 0)
+        gemm(l.ta, l.tb, m, n, k, alpha, a.data(), lda, b.data(), ldb, beta,
+             c.data(), n);
+      else
+        gemm_grouped(l.ta, l.tb, m, n, split.seg, k / split.seg, split.group,
+                     alpha, a.data(), lda, b.data(), ldb, beta, c.data(), n);
+      ASSERT_EQ(0, std::memcmp(c.data(), ref.data(), m * n * sizeof(float)))
+          << "m=" << m << " n=" << n << " k=" << k << " seg=" << split.seg
+          << " ta=" << l.ta << " tb=" << l.tb << " beta=" << beta
+          << " threads=" << threads;
+    }
+  };
+  for (const std::size_t m : {1, 2, 3, 4, 5, 6, 7, 8, 13, 27, 64})
+    for (const std::size_t n : {1, 15, 17, 27})
+      for (const std::size_t k : {kKC - 19, kKC, kKC + 45})
+        for (const float beta : {0.0f, 0.5f, 1.0f, 0.3f})
+          for (const Layout l : layouts)
+            check(m, n, k, DepthSplit{}, l, 1.0f, beta);
+
+  struct Grouped {
+    DepthSplit split;
+    std::size_t segs;
+  };
+  for (const Grouped g : {Grouped{{4, 2}, 32}, Grouped{{256, 2}, 3},
+                          Grouped{{300, 3}, 4}})
+    for (const std::size_t m : {5, 13, 64})
+      for (const std::size_t n : {17, 27})
+        for (const float beta : {0.0f, 0.5f, 1.0f, 0.3f})
+          for (const Layout l : layouts)
+            check(m, n, g.split.seg * g.segs, g.split, l, -0.75f, beta);
+
+  // beta = 0 adds the product to +0.0, so a product of -0.0 (every term
+  // underflows to -0) reads +0.0, and NaN already in C is never read.
+  const std::size_t m = 7, n = 19, k = 9;
+  const std::vector<float> a(m * k, -1e-30f), b(k * n, 1e-30f);
+  for (const float init : {7.0f, kNaN}) {
+    std::vector<float> c(m * n, init);
+    gemm(false, false, m, n, k, 1.0f, a.data(), k, b.data(), n, 0.0f,
+         c.data(), n);
+    for (const float v : c) {
+      ASSERT_EQ(v, 0.0f) << "init=" << init;
+      ASSERT_FALSE(std::signbit(v)) << "init=" << init;
     }
   }
 }

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <vector>
+
 #include "tensor/im2col.hpp"
 #include "tensor/tensor.hpp"
 
@@ -94,6 +97,98 @@ INSTANTIATE_TEST_SUITE_P(
                       ConvGeom{1, 16, 16, 5, 5, 1, 2},
                       ConvGeom{3, 16, 16, 3, 3, 2, 1},
                       ConvGeom{8, 2, 2, 1, 1, 1, 0}));
+
+// The bounds-checked lowering loops as they stood before the valid-range
+// rewrite, kept verbatim as the bitwise reference: im2col is a gather, and
+// col2im must add each element's contributions in this order.
+void reference_im2col(const float* img, const ConvGeom& g, float* col,
+                      std::size_t ld) {
+  const std::size_t oh = g.out_h(), ow = g.out_w();
+  std::size_t row = 0;
+  for (std::size_t c = 0; c < g.channels; ++c)
+    for (std::size_t kh = 0; kh < g.kernel_h; ++kh)
+      for (std::size_t kw = 0; kw < g.kernel_w; ++kw, ++row) {
+        float* dst = col + row * ld;
+        for (std::size_t y = 0; y < oh; ++y) {
+          const long iy = static_cast<long>(y * g.stride + kh) -
+                          static_cast<long>(g.pad);
+          if (iy < 0 || iy >= static_cast<long>(g.height)) {
+            for (std::size_t x = 0; x < ow; ++x) dst[y * ow + x] = 0.0f;
+            continue;
+          }
+          const float* src =
+              img + (c * g.height + static_cast<std::size_t>(iy)) * g.width;
+          for (std::size_t x = 0; x < ow; ++x) {
+            const long ix = static_cast<long>(x * g.stride + kw) -
+                            static_cast<long>(g.pad);
+            dst[y * ow + x] = (ix < 0 || ix >= static_cast<long>(g.width))
+                                  ? 0.0f
+                                  : src[static_cast<std::size_t>(ix)];
+          }
+        }
+      }
+}
+
+void reference_col2im(const float* col, const ConvGeom& g, float* img,
+                      std::size_t ld) {
+  const std::size_t oh = g.out_h(), ow = g.out_w();
+  std::size_t row = 0;
+  for (std::size_t c = 0; c < g.channels; ++c)
+    for (std::size_t kh = 0; kh < g.kernel_h; ++kh)
+      for (std::size_t kw = 0; kw < g.kernel_w; ++kw, ++row) {
+        const float* src = col + row * ld;
+        for (std::size_t y = 0; y < oh; ++y) {
+          const long iy = static_cast<long>(y * g.stride + kh) -
+                          static_cast<long>(g.pad);
+          if (iy < 0 || iy >= static_cast<long>(g.height)) continue;
+          float* dst =
+              img + (c * g.height + static_cast<std::size_t>(iy)) * g.width;
+          for (std::size_t x = 0; x < ow; ++x) {
+            const long ix = static_cast<long>(x * g.stride + kw) -
+                            static_cast<long>(g.pad);
+            if (ix < 0 || ix >= static_cast<long>(g.width)) continue;
+            dst[static_cast<std::size_t>(ix)] += src[y * ow + x];
+          }
+        }
+      }
+}
+
+TEST(Im2Col, LoweringMatchesReferenceBitwise) {
+  // Kernel 1 and 3, stride 1 and 2, pad 0 and 1, every square size from 1
+  // to 17 the geometry admits, each lowered as a standalone matrix and as
+  // one sample's slice of a wider panel (ld > col_cols). col2im adds onto a
+  // non-zero image, so the order of each element's adds is pinned too.
+  Rng rng(71);
+  for (const std::size_t kernel : {1, 3})
+    for (const std::size_t stride : {1, 2})
+      for (const std::size_t pad : {0, 1})
+        for (std::size_t hw = 1; hw <= 17; ++hw) {
+          if (hw + 2 * pad < kernel) continue;
+          const ConvGeom g{2, hw, hw, kernel, kernel, stride, pad};
+          const Tensor img = Tensor::randn(Shape{2, hw, hw}, rng);
+          for (const std::size_t extra : {0, 5}) {
+            const std::size_t ld = g.col_cols() + extra;
+            const std::size_t n = g.col_rows() * ld;
+            std::vector<float> fast(n, -1.0f), ref(n, -1.0f);
+            im2col(img.data(), g, fast.data(), ld);
+            reference_im2col(img.data(), g, ref.data(), ld);
+            ASSERT_EQ(0, std::memcmp(fast.data(), ref.data(),
+                                     n * sizeof(float)))
+                << "im2col k=" << kernel << " s=" << stride << " p=" << pad
+                << " hw=" << hw << " ld=" << ld;
+
+            const Tensor cols = Tensor::randn(Shape{n}, rng);
+            Tensor back = Tensor::randn(img.shape(), rng);
+            Tensor back_ref = back;
+            col2im(cols.data(), g, back.data(), ld);
+            reference_col2im(cols.data(), g, back_ref.data(), ld);
+            ASSERT_EQ(0, std::memcmp(back.data(), back_ref.data(),
+                                     back.numel() * sizeof(float)))
+                << "col2im k=" << kernel << " s=" << stride << " p=" << pad
+                << " hw=" << hw << " ld=" << ld;
+          }
+        }
+}
 
 TEST(Im2Col, ZeroPaddingProducesZeros) {
   ConvGeom g{1, 2, 2, 3, 3, 1, 1};
